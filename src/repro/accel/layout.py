@@ -33,7 +33,9 @@ class MemoryLayout:
 
     def vtemp_addrs(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Byte addresses of Vtemp[v] for an id array (the random stream)."""
-        return self.vtemp_base + np.asarray(vertex_ids, dtype=np.int64) * PROP_BYTES
+        addrs = np.asarray(vertex_ids, dtype=np.int64) * PROP_BYTES
+        addrs += self.vtemp_base  # in place: one pass, one allocation
+        return addrs
 
     def vprop_addrs(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Byte addresses of Vprop[v] (used by edge-centric systems)."""

@@ -47,6 +47,7 @@ import hashlib
 import numpy as np
 
 from repro.cache.base import BatchResult
+from repro.utils.arrays import narrowest_copy
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_BOOL = np.empty(0, dtype=bool)
@@ -57,8 +58,10 @@ def empty_batch() -> BatchResult:
     return BatchResult(0, 0, _EMPTY_I64, _EMPTY_BOOL, _EMPTY_I64)
 
 
-def pack_events(n: int, hits: int, events: list[int], nbytes: int) -> BatchResult:
-    """Pack a flat event list into a :class:`BatchResult`.
+def pack_events(
+    n: int, hits: int, events: list[int] | np.ndarray, nbytes: int
+) -> BatchResult:
+    """Pack a flat event list (or int64 array) into a :class:`BatchResult`.
 
     ``events`` carries one integer per fill/write-back, in scalar-loop
     order, with the write-back flag in bit 0 (event addresses are 8 B
@@ -171,8 +174,12 @@ class BatchedCacheEngine:
         return h.digest()
 
     def state_snapshot(self) -> tuple:
+        # narrowed copies; state_restore's copyto widens them back
         return (
-            tuple(getattr(self, name).copy() for name in self.STATE_ARRAYS),
+            tuple(
+                narrowest_copy(getattr(self, name))
+                for name in self.STATE_ARRAYS
+            ),
             tuple(getattr(self, name) for name in self.STATE_SCALARS),
         )
 

@@ -33,9 +33,11 @@ increasing stamp per line: under LRU the stamp advances on every touch,
 under SRRIP only on insertion, which reproduces the original MRU-first
 list ordering (including SRRIP's first-max tie-break on the youngest
 insertion) without any list churn.  :meth:`access` operates on the
-arrays one address at a time; :meth:`access_many` materialises the
-touched sets into flat Python structures once per batch, runs the whole
-tile through a tight loop, and writes the arrays back.  Both paths are
+arrays one address at a time; :meth:`access_many` runs the whole batch
+through the C kernel (``_fgkernel.c`` via :mod:`repro.core._kernel`)
+in place on the arrays, or, when no kernel can be built, materialises
+the touched sets into flat Python structures once per batch, runs a
+tight Python loop, and writes the arrays back.  All three are
 behaviourally identical (enforced by tests/test_batched_equivalence.py).
 """
 
@@ -45,6 +47,7 @@ import numpy as np
 
 from repro.cache.base import AccessResult, BaseCache, BatchResult
 from repro.cache.batched import BatchedCacheEngine, empty_batch, pack_events
+from repro.core import _kernel
 from repro.utils.units import log2_exact
 
 #: SRRIP constants (2-bit re-reference prediction values).
@@ -286,10 +289,13 @@ class PiccoloCache(BatchedCacheEngine, BaseCache):
     # Batched path (whole-tile address arrays)
     # ------------------------------------------------------------------
     def access_many(self, addrs: np.ndarray, is_write: bool) -> BatchResult:
-        addrs = np.asarray(addrs, dtype=np.int64)
+        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
         n = int(addrs.size)
         if n == 0:
             return empty_batch()
+        kernel = _kernel.load()
+        if kernel is not None:
+            return self._access_many_kernel(kernel, addrs, is_write)
 
         sectors = self.sectors_per_line
         sector_mask = self.sector_bytes - 1
@@ -460,7 +466,55 @@ class PiccoloCache(BatchedCacheEngine, BaseCache):
             self._ord[s] = ord_
             self._ins[s] = ins
         self._clock = clk
+        self._account(n, hits, wb_events, sector_repl, line_evict)
+        return pack_events(n, hits, events, self.sector_bytes)
 
+    def _access_many_kernel(
+        self, kernel: _kernel.Kernel, addrs: np.ndarray, is_write: bool
+    ) -> BatchResult:
+        """:meth:`access_many` in the C kernel (``_fgkernel.c``), in
+        place on the line arrays.  The event buffer starts at two events
+        per access and doubles whenever the kernel stops short of room
+        for one worst-case access, so it stays O(batch)."""
+        n = int(addrs.size)
+        params = np.array(
+            [
+                self.num_sets, self.ways, self.sectors_per_line,
+                self._sector_shift, self._fg_shift, self.fg_tag_bits,
+                self._set_shift, self._tag_shift, self.way_quota,
+                self.policy == "lru", is_write,
+            ],
+            dtype=np.int64,
+        )
+        # hits, write-backs, sector replacements, line evictions,
+        # events written, clock (see the PK_* enum in _fgkernel.c)
+        counts = np.array([0, 0, 0, 0, 0, self._clock], dtype=np.int64)
+        events = np.empty(2 * n + self.sectors_per_line + 1, dtype=np.int64)
+        ptr = _kernel.ptr
+        done = 0
+        while done < n:
+            done = kernel.piccolo_access(
+                ptr(addrs, np.int64), n, done,
+                ptr(self._tag, np.int64), ptr(self._fgt, np.int32),
+                ptr(self._dirty, np.int64), ptr(self._rrpv, np.int16),
+                ptr(self._ord, np.int64), ptr(self._ins, np.int64),
+                ptr(params, np.int64), ptr(counts, np.int64),
+                ptr(events, np.int64), events.size,
+            )
+            if done < n:
+                events = np.concatenate([events, np.empty_like(events)])
+        hits, wb_events, sector_repl, line_evict, n_events, clock = (
+            counts.tolist()
+        )
+        self._clock = clock
+        self._account(n, hits, wb_events, sector_repl, line_evict)
+        return pack_events(n, hits, events[:n_events], self.sector_bytes)
+
+    def _account(
+        self, n: int, hits: int, wb_events: int, sector_repl: int,
+        line_evict: int,
+    ) -> None:
+        """Fold one batch's outcome into the counters."""
         misses = n - hits
         stats = self.stats
         stats.accesses += n
@@ -472,8 +526,6 @@ class PiccoloCache(BatchedCacheEngine, BaseCache):
         stats.evictions += line_evict
         self.sector_replacements += sector_repl
         self.line_evictions += line_evict
-
-        return pack_events(n, hits, events, self.sector_bytes)
 
     @staticmethod
     def _rrip_victim(cands, rrpv, ins) -> int:
@@ -518,12 +570,25 @@ class PiccoloCache(BatchedCacheEngine, BaseCache):
         ]
 
     def flush(self) -> list[tuple[int, int]]:
-        writebacks: list[tuple[int, int]] = []
-        for set_idx in range(self.num_sets):
-            for w in self._mru_order(set_idx):
-                wb = self._dirty_sector_writebacks(set_idx, w)
-                if wb:
-                    writebacks.extend(wb)
+        """Dirty sectors set by set, lines MRU-first (the :attr:`_sets`
+        order), offsets ascending -- vectorized over the line arrays."""
+        key = self._ord if self.policy == "lru" else self._ins
+        mru = np.argsort(-key, axis=1, kind="stable")
+        tag = np.take_along_axis(self._tag, mru, axis=1)
+        dirty = np.take_along_axis(self._dirty, mru, axis=1)
+        fgt = np.take_along_axis(self._fgt, mru[..., None], axis=1)
+        offs = np.arange(self.sectors_per_line, dtype=np.int64)
+        bits = ((dirty[..., None] >> offs) & 1).astype(bool)
+        bits &= (tag != -1)[..., None]
+        set_i, way_i, off_i = np.nonzero(bits)
+        addrs = (
+            (tag[set_i, way_i] << self._tag_shift)
+            | (set_i << self._set_shift)
+            | (fgt[set_i, way_i, off_i].astype(np.int64) << self._fg_shift)
+            | (off_i << self._sector_shift)
+        )
+        self.stats.writeback_bytes += addrs.size * self.sector_bytes
+        writebacks = [(a, self.sector_bytes) for a in addrs.tolist()]
         self._tag.fill(-1)
         self._fgt.fill(-1)
         self._dirty.fill(0)

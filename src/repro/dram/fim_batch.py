@@ -26,6 +26,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.utils.arrays import narrowest_copy
+
 #: column order of every array-tuple view (``columns()``, memo records)
 FIM_COLUMNS = (
     "channel",
@@ -126,11 +128,17 @@ class FimOpBatch:
             self.append_op(op)
 
     def extend_columns(self, columns: tuple[np.ndarray, ...]) -> None:
-        """Append a sealed column tuple (e.g. a replay-memo record)."""
+        """Append a sealed column tuple (e.g. a replay-memo record),
+        widened back to the canonical column dtypes."""
         if columns[0].size == 0:
             return
         self._seal()
-        self._chunks.append(tuple(columns))
+        self._chunks.append(
+            tuple(
+                np.asarray(col, dtype=np.int64 if i < _INT_COLS else bool)
+                for i, col in enumerate(columns)
+            )
+        )
 
     # -- consolidation --------------------------------------------------
     def _seal(self) -> None:
@@ -160,9 +168,10 @@ class FimOpBatch:
         return self._chunks[0]
 
     def tail_columns(self, start: int) -> tuple[np.ndarray, ...]:
-        """Copy of rows ``[start:]`` as a column tuple (memo records)."""
+        """Copy of rows ``[start:]`` as a column tuple (memo records), each
+        column in its narrowest dtype; :meth:`extend_columns` widens."""
         cols = self.columns()
-        return tuple(col[start:].copy() for col in cols)
+        return tuple(narrowest_copy(col[start:]) for col in cols)
 
     def as_tuples(self) -> tuple[tuple, ...]:
         """Plain-tuple view of every row (canonical digest/compare form)."""

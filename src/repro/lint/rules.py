@@ -650,11 +650,12 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
         "src/repro/core/memory_path.py",
         "src/repro/graph/tilestore.py",
     ),
-    # first-writer-wins stores and checkpoint roots
+    # first-writer-wins stores, checkpoint roots and the kernel build cache
     "RL002": (
         "src/repro/graph/tilestore.py",
         "src/repro/graph/graphio.py",
         "src/repro/experiments/parallel.py",
+        "src/repro/core/_kernel.py",
     ),
     # CellSpec-reachable code shipped to spawn workers
     "RL003": (

@@ -9,6 +9,10 @@ boundaries to exercise cross-batch state) through both paths and
 compare everything observable.
 """
 
+import contextlib
+import shutil
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 from repro.cache.base import BaseCache
 from repro.cache.conventional import ConventionalCache
 from repro.cache.variants import FIG11_VARIANTS
+from repro.core import _kernel
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.memory_path import (
     ConventionalMemoryPath,
@@ -25,6 +30,7 @@ from repro.core.memory_path import (
 )
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
+from repro.dram.fim_batch import FimOpBatch
 from repro.dram.spec import DEVICES, DRAMConfig
 
 
@@ -391,3 +397,265 @@ def test_locality_monitor_counts_all_window_pairs():
     for a in stream:
         monitor.observe(a)
     assert not monitor.bypass
+
+
+# ---------------------------------------------------------------------------
+# C kernel vs scalar oracle.  ``access_many`` / ``add_batch`` run in the
+# C kernel (repro.core._kernel) whenever it builds; ``engine="python"``
+# forces the Python batch loops instead.  Both must match the scalar
+# ``access`` / ``add_read`` / ``add_write`` oracles event for event, in
+# counters, in FIM-op columns and in end state.
+# ---------------------------------------------------------------------------
+ENGINES = ["kernel", "python"]
+
+
+def require_kernel():
+    """The kernel must load wherever a C compiler exists."""
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on this host")
+    assert _kernel.load() is not None, "C kernel failed to build"
+
+
+@contextlib.contextmanager
+def engine_mode(engine):
+    """Run the batched engines in the C kernel or the Python loops."""
+    if engine == "kernel":
+        require_kernel()
+        yield
+    else:
+        with mock.patch.object(_kernel, "load", lambda: None):
+            yield
+
+
+def canonical_lines(cache):
+    """Per-set line contents in MRU order, independent of which
+    physical way a line landed in (and of the absolute clock, which a
+    replayed batch restores from its record)."""
+    return [
+        [(ln.tag, ln.fg, ln.dirty, ln.rrpv) for ln in lines]
+        for lines in cache._sets
+    ]
+
+
+def mshr_pending(mshr):
+    """Every occupied slot's row and live offsets, in insertion order."""
+    return {
+        slot: (
+            int(mshr._row_key[slot]),
+            mshr._ga[slot, : mshr._ga_n[slot]].tolist(),
+            mshr._sc[slot, : mshr._sc_n[slot]].tolist(),
+        )
+        for slot in np.flatnonzero(mshr._row_key != -1).tolist()
+    }
+
+
+def piccolo_geometry(sets, quota, policy):
+    cache = PiccoloCache(sets * 8 * 128, ways=8, fg_tag_bits=4, policy=policy)
+    # set_way_quota(tags) gives ways // tags ways per tag
+    cache.set_way_quota(1 if quota == "full" else cache.ways)
+    return cache
+
+
+# (tag, set, fg-tag, sector) fields: few tags and sets so lines conflict
+piccolo_fields = st.tuples(
+    st.integers(0, 11), st.integers(0, 3), st.integers(0, 15), st.integers(0, 15)
+)
+piccolo_batches = st.lists(
+    st.tuples(st.lists(piccolo_fields, min_size=1, max_size=120), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+def piccolo_addrs(cache, fields):
+    return np.asarray(
+        [
+            (t << cache._tag_shift)
+            | ((s % cache.num_sets) << cache._set_shift)
+            | (fg << cache._fg_shift)
+            | (off << cache._sector_shift)
+            for t, s, fg, off in fields
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("policy", ["lru", "rrip"])
+@pytest.mark.parametrize("sets", [1, 64])
+@pytest.mark.parametrize("quota", [1, "full"])
+@settings(max_examples=30, deadline=None)
+@given(batches=piccolo_batches)
+def test_piccolo_engine_matches_scalar_oracle(engine, policy, sets, quota, batches):
+    """Toy (1 set) and mid (64 sets) geometries, quota 1 and quota at
+    full ways, read-only and read-modify-write batches."""
+    with engine_mode(engine):
+        fast = piccolo_geometry(sets, quota, policy)
+        oracle = piccolo_geometry(sets, quota, policy)
+        for fields, rmw in batches:
+            addrs = piccolo_addrs(fast, fields)
+            res_f = fast.access_many(addrs, rmw)
+            res_o = scalar_batch(oracle, addrs, rmw)
+            assert (res_f.accesses, res_f.hits) == (res_o.accesses, res_o.hits)
+            np.testing.assert_array_equal(res_f.ev_addr, res_o.ev_addr)
+            np.testing.assert_array_equal(res_f.ev_is_wb, res_o.ev_is_wb)
+            np.testing.assert_array_equal(res_f.ev_bytes, res_o.ev_bytes)
+        assert cache_signature(fast) == cache_signature(oracle)
+        assert canonical_lines(fast) == canonical_lines(oracle)
+        assert fast.state_digest() == oracle.state_digest()
+        if engine == "kernel":
+            # the kernel also picks the same physical ways as the oracle
+            for name in PiccoloCache.STATE_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(fast, name), getattr(oracle, name)
+                )
+            assert fast._clock == oracle._clock
+        expected = [
+            (oracle._sector_addr(ln.tag, s, ln.fg[off], off), oracle.sector_bytes)
+            for s, lines in enumerate(oracle._sets)
+            for ln in lines
+            for off in range(oracle.sectors_per_line)
+            if ln.dirty >> off & 1
+        ]
+        assert fast.flush() == oracle.flush() == expected
+
+
+def test_piccolo_kernel_resumes_when_event_buffer_fills():
+    """Eight fully dirty lines, then eight accesses that each evict one:
+    17 events per access overflow the kernel's initial two-per-access
+    buffer, so it must stop and resume; the result still matches."""
+    require_kernel()
+    fast, oracle = (piccolo_geometry(1, 1, "lru") for _ in range(2))
+    window = fast.window_bytes
+    prime = (
+        np.arange(8, dtype=np.int64)[:, None] * window
+        + np.arange(16, dtype=np.int64)[None, :] * 8
+    ).ravel()
+    evict = np.arange(8, 16, dtype=np.int64) * window
+    for batch, rmw in ((prime, True), (evict, False)):
+        res_f = fast.access_many(batch, rmw)
+        res_o = scalar_batch(oracle, batch, rmw)
+        np.testing.assert_array_equal(res_f.ev_addr, res_o.ev_addr)
+        np.testing.assert_array_equal(res_f.ev_is_wb, res_o.ev_is_wb)
+    assert res_f.ev_addr.size == 8 * 17
+    assert cache_signature(fast) == cache_signature(oracle)
+
+
+def mshr_pool(mapper):
+    """Event addresses: 4 rows of one bank stripe x 4 blocks x 8 words,
+    so words share rows (merges, full ops) and rows share slots
+    (conflict drains)."""
+    cfg = mapper.config
+    stripe = cfg.channels * cfg.ranks * cfg.spec.banks_per_rank * cfg.spec.row_bytes
+    return np.asarray(
+        [r * stripe + b * 64 + w * 8 for r in range(4) for b in range(4) for w in range(8)],
+        dtype=np.int64,
+    )
+
+
+mshr_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 127), st.booleans()), min_size=1, max_size=150),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("items_per_op", [4, 8])
+@pytest.mark.parametrize("rank_level", [False, True])
+@pytest.mark.parametrize("num_entries", [1, 4, 64])
+@settings(max_examples=30, deadline=None)
+@given(batches=mshr_batches)
+def test_mshr_engine_matches_scalar_oracle(
+    engine, items_per_op, rank_level, num_entries, batches
+):
+    """Merges, read-after-write forwarding, full ops and conflict drains
+    (1 and 4 slots force them; 64 slots mostly avoid them)."""
+    mapper = make_mapper()
+    pool = mshr_pool(mapper)
+
+    def build():
+        return CollectionExtendedMSHR(
+            mapper, num_entries=num_entries, items_per_op=items_per_op,
+            rank_level=rank_level,
+        )
+
+    with engine_mode(engine):
+        fast, oracle = build(), build()
+        for events in batches:
+            addrs = pool[[i for i, _ in events]]
+            is_wb = np.asarray([wb for _, wb in events], dtype=bool)
+            ops_f = fast.add_batch(addrs, is_wb)
+            ops_o = []
+            for addr, wb in zip(addrs.tolist(), is_wb.tolist()):
+                ops_o.extend(oracle.add_write(addr) if wb else oracle.add_read(addr))
+            expected = FimOpBatch.from_ops(ops_o).columns()
+            for got, want in zip(ops_f.columns(), expected):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+            assert vars(fast.stats) == vars(oracle.stats)
+            assert mshr_pending(fast) == mshr_pending(oracle)
+            assert fast.state_digest() == oracle.state_digest()
+        assert fast.flush() == oracle.flush()
+        assert vars(fast.stats) == vars(oracle.stats)
+        assert mshr_pending(fast) == mshr_pending(oracle) == {}
+
+
+def test_mshr_digest_ignores_offset_order():
+    """Two MSHRs holding the same offsets inserted in different orders
+    share a digest; a different offset set does not."""
+    mapper = make_mapper()
+    pool = mshr_pool(mapper)
+    a = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8)
+    b = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8)
+    c = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8)
+    for i in (0, 1, 2):
+        a.add_read(int(pool[i]))
+    for i in (2, 0, 1):
+        b.add_read(int(pool[i]))
+    for i in (0, 1, 3):
+        c.add_read(int(pool[i]))
+    assert a.state_digest() == b.state_digest() != c.state_digest()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("chunk_size", [None, 7, 64])
+@pytest.mark.parametrize("monitor", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(batches=piccolo_batches, rounds=st.integers(1, 3))
+def test_fine_grained_path_engine_matches_scalar_oracle(
+    engine, chunk_size, monitor, batches, rounds
+):
+    """The whole path -- cache, MSHR, locality monitor, chunking and the
+    replay memo (repeated rounds can replay) -- against the scalar
+    path without a memo."""
+    mapper = make_mapper()
+
+    def build(batched):
+        cache = piccolo_geometry(1, "full", "lru")
+        mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
+        mon = LocalityMonitor(window=8, threshold=0.5) if monitor else None
+        return FineGrainedMemoryPath(
+            cache, mshr, locality_monitor=mon, batched=batched,
+            replay_capacity=64 if batched else 0,
+            chunk_size=chunk_size if batched else None,
+        )
+
+    with engine_mode(engine):
+        fast, oracle = build(True), build(False)
+        for _ in range(rounds):
+            for fields, rmw in batches:
+                addrs = piccolo_addrs(fast.cache, fields)
+                fast.run(addrs, rmw)
+                oracle.run(addrs, rmw)
+        fast.flush()
+        oracle.flush()
+        ops_f, addr_f, wr_f = drain_all(fast)
+        ops_o, addr_o, wr_o = drain_all(oracle)
+        for got, want in zip(ops_f.columns(), ops_o.columns()):
+            np.testing.assert_array_equal(got, want)
+        assert (addr_f, wr_f) == (addr_o, wr_o)
+        assert cache_signature(fast.cache) == cache_signature(oracle.cache)
+        assert canonical_lines(fast.cache) == canonical_lines(oracle.cache)
+        assert vars(fast.mshr.stats) == vars(oracle.mshr.stats)
+        assert mshr_pending(fast.mshr) == mshr_pending(oracle.mshr)
