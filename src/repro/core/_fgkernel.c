@@ -244,7 +244,7 @@ enum {
     PM_BURST_SHIFT, PM_CHANNELS, PM_CHANNEL_BITS, PM_BANKS_PER_RANK,
     PM_BANK_BITS, PM_RANKS, PM_RANK_BITS, PM_COLUMN_BITS, PM_ROWS_PER_BANK,
     PM_TOTAL_BANKS, PM_WORDS_PER_BURST, PM_NUM_ENTRIES, PM_ITEMS_PER_OP,
-    PM_NPARAMS
+    PM_LANES, PM_NPARAMS
 };
 
 /* fgk_mshr_add counters (int64), in CollectionExtendedMSHR.counter_vector
@@ -255,12 +255,20 @@ enum {
     MK_CONFLICTS, MK_NCOUNTERS
 };
 
-static inline int contains(const int32_t *offs, int32_t count, int32_t word)
+/* Slot rows are padded to a multiple of LANE_BLOCK offsets, so the
+   membership test runs fixed-width blocks the compiler can turn into a
+   few vector compares (no data-dependent loop exit); offsets at or past
+   ``count`` are stale and masked out. */
+#define LANE_BLOCK 8
+
+static inline int contains(const int32_t *offs, int32_t count, int32_t word,
+                           int32_t lanes)
 {
-    for (int32_t k = 0; k < count; k++)
-        if (offs[k] == word)
-            return 1;
-    return 0;
+    int found = 0;
+    for (int32_t base = 0; base < lanes; base += LANE_BLOCK)
+        for (int32_t k = base; k < base + LANE_BLOCK; k++)
+            found |= (offs[k] == word) & (k < count);
+    return found;
 }
 
 /*
@@ -291,6 +299,7 @@ int64_t fgk_mshr_add(
     const int64_t wpb = p[PM_WORDS_PER_BURST];
     const int64_t slot_mask = p[PM_NUM_ENTRIES] - 1;
     const int32_t ipo = (int32_t)p[PM_ITEMS_PER_OP];
+    const int32_t lanes = (int32_t)p[PM_LANES];
     int64_t c[MK_NCOUNTERS] = {0};
     int64_t nops = 0;
 
@@ -313,8 +322,8 @@ int64_t fgk_mshr_add(
         const int32_t word = (int32_t)(column * wpb + ((a >> 3) & (wpb - 1)));
 
         const int64_t slot = rk & slot_mask;
-        int32_t *G = ga + slot * ipo;
-        int32_t *S = sc + slot * ipo;
+        int32_t *G = ga + slot * lanes;
+        int32_t *S = sc + slot * lanes;
         int32_t gn = ga_n[slot], sn = sc_n[slot];
         if (row_key[slot] != rk) {
             if (row_key[slot] != -1) {
@@ -338,7 +347,7 @@ int64_t fgk_mshr_add(
             row_key[slot] = rk;
         }
         if (is_wb[i]) {
-            if (contains(S, sn, word)) {
+            if (contains(S, sn, word, lanes)) {
                 c[MK_MERGED_WRITES]++;
             } else {
                 S[sn++] = word;
@@ -350,10 +359,10 @@ int64_t fgk_mshr_add(
                     sn = 0;
                 }
             }
-        } else if (contains(S, sn, word)) {
+        } else if (contains(S, sn, word, lanes)) {
             /* served from buffered write-back data */
             c[MK_FORWARDED]++;
-        } else if (contains(G, gn, word)) {
+        } else if (contains(G, gn, word, lanes)) {
             c[MK_MERGED_READS]++;
         } else {
             G[gn++] = word;

@@ -93,10 +93,13 @@ class CollectionExtendedMSHR:
         self._total_banks = cfg.total_banks
         self._banks_per_rank = cfg.spec.banks_per_rank
         self._ranks = cfg.ranks
+        # offset rows padded to whole blocks of 8 lanes (the kernel's
+        # fixed-width membership test); lanes past items_per_op stay unused
+        lanes = -(-items_per_op // 8) * 8
         self._row_key = np.full(num_entries, -1, dtype=np.int64)
-        self._ga = np.zeros((num_entries, items_per_op), dtype=np.int32)
+        self._ga = np.zeros((num_entries, lanes), dtype=np.int32)
         self._ga_n = np.zeros(num_entries, dtype=np.int32)
-        self._sc = np.zeros((num_entries, items_per_op), dtype=np.int32)
+        self._sc = np.zeros((num_entries, lanes), dtype=np.int32)
         self._sc_n = np.zeros(num_entries, dtype=np.int32)
         # decode fields + geometry (the PM_* enum in _fgkernel.c)
         self._kernel_params = np.array(
@@ -105,7 +108,7 @@ class CollectionExtendedMSHR:
                 cfg.spec.banks_per_rank, mapper.bank_bits, cfg.ranks,
                 mapper.rank_bits, mapper.column_bits, cfg.rows_per_bank,
                 cfg.total_banks, cfg.spec.burst_bytes >> 3, num_entries,
-                items_per_op,
+                items_per_op, lanes,
             ],
             dtype=np.int64,
         )
@@ -380,7 +383,7 @@ class CollectionExtendedMSHR:
         neither insertion order nor stale entries reach the hash."""
         h = hashlib.blake2b(digest_size=16)
         h.update(self._row_key.tobytes())
-        lane = np.arange(self.items_per_op, dtype=np.int32)
+        lane = np.arange(self._ga.shape[1], dtype=np.int32)
         for offsets, counts in ((self._ga, self._ga_n), (self._sc, self._sc_n)):
             canon = np.where(lane < counts[:, None], offsets, -1)
             canon.sort(axis=1)

@@ -135,7 +135,9 @@ class FimOpBatch:
         self._seal()
         self._chunks.append(
             tuple(
-                np.asarray(col, dtype=np.int64 if i < _INT_COLS else bool)
+                np.ascontiguousarray(
+                    col, dtype=np.int64 if i < _INT_COLS else bool
+                )
                 for i, col in enumerate(columns)
             )
         )

@@ -10,6 +10,7 @@ compare everything observable.
 """
 
 import contextlib
+import functools
 import shutil
 from unittest import mock
 
@@ -541,27 +542,32 @@ def test_piccolo_kernel_resumes_when_event_buffer_fills():
     assert cache_signature(fast) == cache_signature(oracle)
 
 
-def mshr_pool(mapper):
-    """Event addresses: 4 rows of one bank stripe x 4 blocks x 8 words,
-    so words share rows (merges, full ops) and rows share slots
+@functools.cache
+def mshr_pool():
+    """Event addresses for ``make_mapper()``: 16 words in each of 8 DRAM
+    rows, where rows come in pairs of the same bank -- so words share
+    rows (merges, full ops up to 16 items) and rows share MSHR slots
     (conflict drains)."""
-    cfg = mapper.config
-    stripe = cfg.channels * cfg.ranks * cfg.spec.banks_per_rank * cfg.spec.row_bytes
+    mapper = make_mapper()
+    rows = {}
+    for addr in range(0, 1 << 18, 8):
+        _, _, bank, row, _ = mapper.decode_scalar(addr)
+        if bank < 4 and row < 2:
+            rows.setdefault((bank, row), []).append(addr)
     return np.asarray(
-        [r * stripe + b * 64 + w * 8 for r in range(4) for b in range(4) for w in range(8)],
-        dtype=np.int64,
+        [a for key in sorted(rows) for a in rows[key][:16]], dtype=np.int64
     )
 
 
 mshr_batches = st.lists(
-    st.lists(st.tuples(st.integers(0, 127), st.booleans()), min_size=1, max_size=150),
+    st.lists(st.tuples(st.integers(0, 127), st.booleans()), min_size=1, max_size=200),
     min_size=1,
     max_size=6,
 )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("items_per_op", [4, 8])
+@pytest.mark.parametrize("items_per_op", [4, 8, 12])
 @pytest.mark.parametrize("rank_level", [False, True])
 @pytest.mark.parametrize("num_entries", [1, 4, 64])
 @settings(max_examples=30, deadline=None)
@@ -570,9 +576,10 @@ def test_mshr_engine_matches_scalar_oracle(
     engine, items_per_op, rank_level, num_entries, batches
 ):
     """Merges, read-after-write forwarding, full ops and conflict drains
-    (1 and 4 slots force them; 64 slots mostly avoid them)."""
+    (1 and 4 slots force them; 64 slots mostly avoid them); 12 items per
+    op spans two blocks of offset lanes."""
     mapper = make_mapper()
-    pool = mshr_pool(mapper)
+    pool = mshr_pool()
 
     def build():
         return CollectionExtendedMSHR(
@@ -605,7 +612,7 @@ def test_mshr_digest_ignores_offset_order():
     """Two MSHRs holding the same offsets inserted in different orders
     share a digest; a different offset set does not."""
     mapper = make_mapper()
-    pool = mshr_pool(mapper)
+    pool = mshr_pool()
     a = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8)
     b = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8)
     c = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8)

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.utils.arrays import narrowest_copy
 from repro.utils.stats import Counter, geometric_mean
 from repro.utils.units import ceil_div, is_power_of_two, log2_exact
 
@@ -78,3 +80,41 @@ class TestUnits:
         assert ceil_div(9, 8) == 2
         with pytest.raises(ValueError):
             ceil_div(1, 0)
+
+
+class TestNarrowestCopy:
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([-1, 15], np.int8),  # signed sentinel + small values
+            ([0, 255], np.uint8),
+            ([-1, 1 << 19], np.int32),
+            ([0, 1 << 40], np.int64),  # no narrower type holds it
+            ([-(1 << 63), (1 << 63) - 1], np.int64),
+        ],
+    )
+    def test_dtype_and_values(self, values, dtype):
+        arr = np.asarray(values, dtype=np.int64)
+        out = narrowest_copy(arr)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, arr)
+
+    def test_constant_array_is_one_broadcast_value(self):
+        arr = np.full((4, 3), 7, dtype=np.int64)
+        out = narrowest_copy(arr)
+        assert out.shape == arr.shape and out.strides == (0, 0)
+        widened = np.zeros_like(arr)
+        np.copyto(widened, out)
+        np.testing.assert_array_equal(widened, arr)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([True, False]), np.array([0.5, 1.5]), np.empty(0, np.int64)],
+    )
+    def test_other_arrays_copied_unchanged(self, arr):
+        out = narrowest_copy(arr)
+        assert out.dtype == arr.dtype and out is not arr
+        np.testing.assert_array_equal(out, arr)
+        if arr.size:
+            assert not np.shares_memory(out, arr)
+
